@@ -164,6 +164,38 @@ impl SyntheticGenerator {
     }
 }
 
+/// The knapsack trap for the greedy TF retention walk: clusters C0 and
+/// C4 (both set 0) share one 60-word input `big` and two 40-word inputs
+/// `b1`/`b2`, while the intermediate set-0 cluster C2 carries a private
+/// 150-word `bulk` working set the retained copies must coexist with.
+/// TF ranks `big` first, so at the right Frame Buffer size greedy
+/// retains 60 avoided words and then rejects both 40-word candidates,
+/// where the pair would avoid 80.
+///
+/// # Errors
+///
+/// Propagates model validation (the construction is always valid).
+pub fn knapsack_trap() -> Result<(Application, ClusterSchedule), ModelError> {
+    let mut b = ApplicationBuilder::new("trap");
+    let big = b.data("big", Words::new(60), DataKind::ExternalInput);
+    let b1 = b.data("b1", Words::new(40), DataKind::ExternalInput);
+    let b2 = b.data("b2", Words::new(40), DataKind::ExternalInput);
+    let bulk = b.data("bulk", Words::new(150), DataKind::ExternalInput);
+    let m0 = b.data("m0", Words::new(10), DataKind::Intermediate);
+    let m1 = b.data("m1", Words::new(10), DataKind::Intermediate);
+    let m2 = b.data("m2", Words::new(10), DataKind::Intermediate);
+    let m3 = b.data("m3", Words::new(10), DataKind::Intermediate);
+    let f = b.data("f", Words::new(10), DataKind::FinalResult);
+    let k0 = b.kernel("k0", 8, Cycles::new(100), &[big, b1, b2], &[m0]);
+    let k1 = b.kernel("k1", 8, Cycles::new(100), &[m0], &[m1]);
+    let k2 = b.kernel("k2", 8, Cycles::new(100), &[bulk, m1], &[m2]);
+    let k3 = b.kernel("k3", 8, Cycles::new(100), &[m2], &[m3]);
+    let k4 = b.kernel("k4", 8, Cycles::new(100), &[big, b1, b2, m3], &[f]);
+    let app = b.iterations(4).build()?;
+    let sched = ClusterSchedule::new(&app, vec![vec![k0], vec![k1], vec![k2], vec![k3], vec![k4]])?;
+    Ok((app, sched))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
