@@ -23,8 +23,7 @@ use crate::{
 
 /// One memoized reuse-factor evaluation: the stage plan, the emitted
 /// operation schedule, and the simulated makespan for one rung of the
-/// RF ladder in
-/// [`plan_common`](crate::SchedulerKind)-style planning.
+/// RF ladder every [`DataScheduler`](crate::DataScheduler) walks.
 ///
 /// The triple is a pure function of the workload structure plus the
 /// inputs folded into the memo key (see

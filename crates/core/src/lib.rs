@@ -28,6 +28,11 @@
 //!   every affected cluster still fits — avoiding `N−1` loads per shared
 //!   datum and `N+1` transfers per shared result.
 //!
+//! A fourth, [`SearchScheduler`], extends the CDS beyond the paper with
+//! a beam search over the same ranked candidates. All four walk one RF
+//! ladder and differ only in their footprint model and in how each rung
+//! picks its retention set.
+//!
 //! # Example
 //!
 //! ```

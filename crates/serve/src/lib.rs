@@ -31,8 +31,8 @@
 //!   hits, misses, rejections, and latency, exposed over the wire via
 //!   the `stats` verb.
 //!
-//! See `DESIGN.md` §12 for the wire grammar, the version/compat
-//! window, and the reactor's delivery guarantees.
+//! See `DESIGN.md` §12 for the wire grammar, the version rules, and
+//! the reactor's delivery guarantees.
 //!
 //! ```no_run
 //! use mcds_serve::{ClientConfig, ScheduleSpec, ServeConfig, Server};
@@ -71,7 +71,7 @@ pub use load::{
 pub use protocol::{
     decode_request, format_key, parse_key, render_scheduled, ErrorCode, FrameBuffer, FrameError,
     Outcome, QosClass, RequestError, ResponseError, ResponseFrame, ScheduleSpec, Scheduled,
-    ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply, WireVersion,
+    ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply,
 };
 pub use server::{ServeConfig, ServeSummary, Server};
 pub use store::{

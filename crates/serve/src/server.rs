@@ -57,7 +57,6 @@ use crate::cache::{
 use crate::protocol::{
     decode_request, render_scheduled, ErrorCode, FrameBuffer, FrameError, Outcome, QosClass,
     ScheduleSpec, Scheduled, ServeError, ServeRequest, ServeResponse, StatEntry, StatsReply,
-    WireVersion,
 };
 use crate::store::{OutcomeStore, StoreConfig};
 use crate::sys::{PollSet, Waker};
@@ -176,10 +175,6 @@ pub struct ServeSummary {
     /// Faults the attached [`FaultPlan`] injected (all seams).
     #[serde(default)]
     pub faults_injected: u64,
-    /// Un-versioned frames accepted through the legacy compat shim
-    /// (deprecated — the shim lasts one release).
-    #[serde(default)]
-    pub legacy_frames: u64,
     /// Computations that reused a memoized analysis (arch-only
     /// variants of an already-analyzed workload structure).
     #[serde(default)]
@@ -250,14 +245,13 @@ struct Resolved {
 /// parse/resolve stage, which is a pure function of the line).
 #[derive(Clone)]
 enum Memo {
-    Good {
-        resolved: Arc<Resolved>,
-        legacy: bool,
-    },
+    Good(Arc<Resolved>),
     Bad {
         code: ErrorCode,
         message: Arc<str>,
-        legacy: bool,
+        /// The verb the failure reply echoes (`unknown` when the frame
+        /// did not decode at all).
+        verb: &'static str,
     },
 }
 
@@ -428,7 +422,6 @@ struct Counters {
     errors: Counter,
     worker_restarts: Counter,
     degraded: Counter,
-    legacy: Counter,
     analysis_hits: Counter,
     analysis_misses: Counter,
     latency: Histogram,
@@ -461,7 +454,6 @@ impl Counters {
             errors: metrics.counter("serve.errors"),
             worker_restarts: metrics.counter("serve.worker_restarts"),
             degraded: metrics.counter("serve.degraded"),
-            legacy: metrics.counter("serve.legacy_frames"),
             analysis_hits: metrics.counter("serve.analysis.hits"),
             analysis_misses: metrics.counter("serve.analysis.misses"),
             latency: metrics.histogram("serve.latency_us"),
@@ -662,7 +654,6 @@ impl Server {
                 .faults
                 .as_ref()
                 .map_or(0, |f| f.snapshot().total_fired()),
-            legacy_frames: count("serve.legacy_frames"),
             analysis_hits: count("serve.analysis.hits"),
             analysis_misses: count("serve.analysis.misses"),
             reactor_restarts: count("serve.reactor_restarts"),
@@ -1204,28 +1195,20 @@ impl<'a> Reactor<'a> {
         self.ctx.counters.requests.incr();
         if let Some(memo) = self.memo.get(line.as_bytes()).cloned() {
             match memo {
-                Memo::Good { resolved, legacy } => {
-                    if legacy {
-                        self.ctx.counters.legacy.incr();
-                    }
-                    self.handle_schedule(conn, started, &resolved);
-                }
+                Memo::Good(resolved) => self.handle_schedule(conn, started, &resolved),
                 Memo::Bad {
                     code,
                     message,
-                    legacy,
+                    verb,
                 } => {
-                    if legacy {
-                        self.ctx.counters.legacy.incr();
-                    }
                     self.ctx.counters.errors.incr();
-                    self.respond_failed(conn, started, code, &message, "schedule", None);
+                    self.respond_failed(conn, started, code, &message, verb, None);
                 }
             }
             return;
         }
-        let (request, version) = match decode_request(line) {
-            Ok(decoded) => decoded,
+        let request = match decode_request(line) {
+            Ok(request) => request,
             Err(err) => {
                 self.ctx.counters.errors.incr();
                 let code = err.code();
@@ -1235,17 +1218,13 @@ impl<'a> Reactor<'a> {
                     Memo::Bad {
                         code,
                         message: Arc::from(message.as_str()),
-                        legacy: false,
+                        verb: "unknown",
                     },
                 );
                 self.respond_failed(conn, started, code, &message, "unknown", None);
                 return;
             }
         };
-        let legacy = version == WireVersion::Legacy;
-        if legacy {
-            self.ctx.counters.legacy.incr();
-        }
         match request {
             ServeRequest::Ping => {
                 let latency_us = self.observed_latency(started);
@@ -1309,13 +1288,7 @@ impl<'a> Reactor<'a> {
             ServeRequest::Schedule(spec) => match resolve(spec) {
                 Ok(resolved) => {
                     let resolved = Arc::new(resolved);
-                    self.memo_insert(
-                        line,
-                        Memo::Good {
-                            resolved: Arc::clone(&resolved),
-                            legacy,
-                        },
-                    );
+                    self.memo_insert(line, Memo::Good(Arc::clone(&resolved)));
                     self.handle_schedule(conn, started, &resolved);
                 }
                 Err(message) => {
@@ -1325,7 +1298,7 @@ impl<'a> Reactor<'a> {
                         Memo::Bad {
                             code: ErrorCode::BadRequest,
                             message: Arc::from(message.as_str()),
-                            legacy,
+                            verb: "schedule",
                         },
                     );
                     self.respond_failed(

@@ -4,11 +4,12 @@
 //! request, and must behave identically regardless of how the byte
 //! stream is chunked (TCP segmentation must not change protocol
 //! behavior). The version field in particular is fuzzed: any `v` other
-//! than `1` or absent must produce a *typed* rejection, never a panic.
+//! than `1` (absent and `null` included) must produce a *typed*
+//! rejection, never a panic.
 
 use mcds_serve::{
     decode_request, ErrorCode, FrameBuffer, FrameError, QosClass, RequestError, ScheduleSpec,
-    ServeRequest, ServeResponse, WireVersion,
+    ServeRequest, ServeResponse,
 };
 use proptest::prelude::*;
 
@@ -117,11 +118,9 @@ proptest! {
     }
 
     /// The version field never panics the decoder, whatever JSON value
-    /// it holds: `1` decodes as [`WireVersion::V1`], absence or `null`
-    /// as [`WireVersion::Legacy`] (the one-release compat window), any
-    /// other integer as a typed `unsupported_version`, and any
-    /// non-integer as a typed `bad_request` — all without reading the
-    /// rest of the frame.
+    /// it holds: only `1` decodes, any other integer is a typed
+    /// `unsupported_version`, and `null` or any non-integer is a typed
+    /// `bad_request` — all without reading the rest of the frame.
     #[test]
     fn version_field_fuzzing_yields_typed_decisions(
         version_json in prop_oneof![
@@ -138,21 +137,18 @@ proptest! {
     ) {
         let line = format!(r#"{{"v":{version_json},"verb":"ping"}}"#);
         match decode_request(&line) {
-            Ok((request, version)) => {
+            Ok(request) => {
                 prop_assert_eq!(request, ServeRequest::Ping);
-                // Only `1` or `null` may decode; anything else must
-                // have been rejected.
-                prop_assert!(
-                    (version == WireVersion::V1 && version_json == "1")
-                        || (version == WireVersion::Legacy && version_json == "null")
-                );
+                // Only `1` may decode; anything else must have been
+                // rejected.
+                prop_assert_eq!(version_json, "1");
             }
             Err(RequestError::UnsupportedVersion { got }) => {
                 prop_assert!(got != 1, "v1 must never be rejected");
                 prop_assert_eq!(got.to_string(), version_json);
             }
             Err(RequestError::Malformed(_)) => {
-                prop_assert!(version_json != "1" && version_json != "null");
+                prop_assert!(version_json != "1");
             }
             Err(other) => panic!("untyped failure: {other:?}"),
         }
@@ -170,10 +166,11 @@ proptest! {
     }
 
     /// QoS lane resolution is total over class *strings*: the three
-    /// known names map to their lanes, and every other string — on v1
-    /// and legacy frames alike — degrades to the standard lane rather
-    /// than an error, so a newer client's future class name can never
-    /// get its request rejected by an older server.
+    /// known names map to their lanes, and every other string degrades
+    /// to the standard lane rather than an error, so a newer client's
+    /// future class name can never get its request rejected by an
+    /// older server. An un-versioned frame is a typed `bad_request`
+    /// whatever its class.
     #[test]
     fn any_class_string_resolves_to_a_lane(
         name in prop_oneof![
@@ -184,15 +181,16 @@ proptest! {
             Just(String::new()),
             Just("PRIORITY".to_owned()), // case-sensitive: unknown
         ],
-        legacy in any::<bool>(),
+        unversioned in any::<bool>(),
     ) {
-        let v = if legacy { "" } else { r#""v":1,"# };
+        let v = if unversioned { "" } else { r#""v":1,"# };
         let line = format!(r#"{{{v}"verb":"schedule","workload":"e1","class":"{name}"}}"#);
-        let (request, version) = decode_request(&line).expect("a class string never fails decode");
-        prop_assert_eq!(
-            version,
-            if legacy { WireVersion::Legacy } else { WireVersion::V1 }
-        );
+        if unversioned {
+            let err = decode_request(&line).expect_err("v is required");
+            prop_assert_eq!(err.code(), ErrorCode::BadRequest);
+            return;
+        }
+        let request = decode_request(&line).expect("a class string never fails decode");
         let ServeRequest::Schedule(spec) = request else {
             panic!("schedule frames decode to Schedule");
         };
@@ -203,15 +201,16 @@ proptest! {
     }
 
     /// Frames that omit `class` entirely (the whole pre-lane installed
-    /// base, v1 and legacy alike) land on the standard lane with no
-    /// error, whatever else the spec carries.
+    /// base) land on the standard lane with no error, whatever else the
+    /// spec carries — provided they are versioned; an un-versioned one
+    /// is a typed `bad_request`.
     #[test]
     fn absent_class_is_standard_on_every_frame_shape(
         iterations in prop_oneof![Just(None), (1u64..64).prop_map(Some)],
         deadline in prop_oneof![Just(None), (1u64..10_000).prop_map(Some)],
-        legacy in any::<bool>(),
+        unversioned in any::<bool>(),
     ) {
-        let v = if legacy { "" } else { r#""v":1,"# };
+        let v = if unversioned { "" } else { r#""v":1,"# };
         let mut body = format!(r#"{{{v}"verb":"schedule","workload":"e1""#);
         if let Some(i) = iterations {
             body.push_str(&format!(r#","iterations":{i}"#));
@@ -220,7 +219,12 @@ proptest! {
             body.push_str(&format!(r#","deadline_ms":{d}"#));
         }
         body.push('}');
-        let (request, _) = decode_request(&body).expect("classless frames decode");
+        if unversioned {
+            let err = decode_request(&body).expect_err("v is required");
+            prop_assert_eq!(err.code(), ErrorCode::BadRequest);
+            return;
+        }
+        let request = decode_request(&body).expect("classless frames decode");
         let ServeRequest::Schedule(spec) = request else {
             panic!("schedule frames decode to Schedule");
         };

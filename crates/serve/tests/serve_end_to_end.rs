@@ -95,7 +95,6 @@ fn load_run_hits_the_cache_and_drains_cleanly() {
     let summary = handle.join().expect("no panic").expect("clean drain");
     assert_eq!(summary.cache_hits, report.cache_hits);
     assert_eq!(summary.errors, 0);
-    assert_eq!(summary.legacy_frames, 0, "v1 clients leave no legacy marks");
 }
 
 #[test]
@@ -285,36 +284,38 @@ fn pipelined_frames_come_back_in_request_order() {
 }
 
 #[test]
-fn legacy_and_v1_frames_share_the_cache_and_count_separately() {
+fn unversioned_frames_get_bad_request_and_keep_the_connection() {
     let (addr, handle) = start(ServeConfig::default());
 
-    // A legacy (un-versioned) client and a v1 client request the same
-    // work: one computation, byte-identical outcomes, and the compat
-    // shim counts exactly the legacy frames.
+    // Un-versioned frames — the retired pre-v1 shape — are typed
+    // `bad_request`s: nothing is computed, an un-versioned `shutdown`
+    // does not drain, and the connection stays open for v1 traffic.
+    let mut client = connect(addr);
+    let schedule = r#"{"verb":"schedule","workload":"mpeg","iterations":12}"#;
+    // The repeat is answered from the server's parse memo.
+    for line in [schedule, schedule, r#"{"verb":"shutdown"}"#] {
+        let reply = client.raw_roundtrip(line).expect("typed reply");
+        let mcds_serve::ServeResponse::Failed(err) = reply else {
+            panic!("un-versioned frame must be rejected: {reply:?}");
+        };
+        assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+        assert_eq!(err.verb, "unknown", "{line}");
+        assert!(err.message.contains("missing `v`"), "{}", err.message);
+    }
+
     let spec = ScheduleSpec {
         iterations: Some(12),
         ..ScheduleSpec::workload("mpeg")
     };
-    let mut legacy = connect(addr);
-    let legacy_line = mcds_serve::ServeRequest::Schedule(spec.clone()).encode_legacy();
-    let first = legacy.raw_roundtrip(&legacy_line).expect("typed reply");
-    let mcds_serve::ServeResponse::Scheduled(first) = first else {
-        panic!("legacy frame must be served: {first:?}");
-    };
-    assert!(!first.cache_hit);
+    let scheduled = client
+        .schedule(&spec)
+        .expect("v1 frame on the same connection");
+    assert!(!scheduled.cache_hit, "the rejected frames computed nothing");
 
-    let mut modern = connect(addr);
-    let second = modern.schedule(&spec).expect("v1 frame");
-    assert!(second.cache_hit, "legacy and v1 map to the same key");
-    assert_eq!(second.outcome, first.outcome, "identical bytes either way");
-    assert_eq!(second.key, first.key);
-
-    modern.shutdown().expect("drain");
+    client.shutdown().expect("drain");
     let summary = handle.join().expect("no panic").expect("clean drain");
-    assert_eq!(
-        summary.legacy_frames, 1,
-        "only the un-versioned frame counts"
-    );
+    assert_eq!(summary.errors, 3, "each un-versioned frame counts once");
+    assert_eq!(summary.cache_misses, 1);
 }
 
 #[test]
