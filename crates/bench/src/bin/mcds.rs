@@ -2,134 +2,14 @@
 //!
 //! Every command builds its plans through the [`Pipeline`] facade (or
 //! the sweep engine on top of it) — no hand-wired scheduler stages.
-//!
-//! ```text
-//! mcds sample-app                          # print a sample application JSON
-//! mcds inspect  <app.json>                 # summary + dataflow
-//! mcds plan     <app.json> [options]       # plan + simulate
-//! mcds run      <app.json> [options]       # plan + simulate with tracing
-//! mcds explore  <app.json> [options]       # kernel-scheduler partition search
-//! mcds sweep    [app.json …] [options]     # parallel design-space sweep
-//! mcds serve    [options]                  # scheduling service (versioned newline-delimited JSON over TCP)
-//! mcds client   [options]                  # single-process load client; prints a JSON report
-//! mcds load     [options]                  # scaled multi-process load harness; prints a merged JSON report
-//! mcds chaos    [options]                  # deterministic fault-injection soak; prints JSON per seed
-//! mcds crashdrill [options]                # kill -9 durability drill; prints a JSON evidence report
-//! mcds overload [options]                  # adversarial overload drill; prints a JSON evidence report
-//! mcds hotpath  [options]                  # hot-path micro-benchmarks; prints a JSON evidence report
-//! mcds search-bench [options]              # beam-search vs greedy CDS benchmark; prints a JSON evidence report
-//!
-//! options:
-//!   --clusters "0,1;2;3"   kernel ids per cluster, ';'-separated (default: one per kernel)
-//!   --scheduler basic|ds|cds|search[:beam[:cap]]   (default: cds)
-//!   --fb-kw N              FB set size in kilowords (default: 1)
-//!   --cross-set            enable the dual-ported-FB extension
-//!   --gantt                print the execution Gantt chart
-//!   --program              print the generated transfer program (code generator output)
-//!
-//! run options (in addition to the options above):
-//!   --explain              print the human-readable decision log
-//!   --trace-out F.jsonl    stream every trace event to F.jsonl (one JSON object per line)
-//!   --metrics              print the aggregated metrics counters after the run
-//!
-//! sweep options:
-//!   --fb-kw-list 1,2,3,8   FB sizes to cross every workload with
-//!   --threads N            worker threads (default: all cores; 1 = serial)
-//!   --format table|json|csv                (default: table)
-//!   --schedulers a,b,…     scheduler axis, comma-separated kind names
-//!                          (default: basic,ds,cds; e.g. add search:1,search:8
-//!                          for the five-scheduler grid)
-//!
-//! serve options:
-//!   --addr A:P             bind address (default: 127.0.0.1:7171; port 0 picks a free port)
-//!   --workers N            scheduling worker threads (default: cores, capped at 8)
-//!   --queue-depth N        admission queue capacity; full queue rejects (default: 64)
-//!   --max-frame-kb N       largest accepted request frame in KiB (default: 256)
-//!   --shards N             outcome-cache shards, rounded up to a power of two (default: 16)
-//!   --fault-seed S         attach a deterministic chaos-preset fault plan seeded S
-//!   --degrade-below-ms D   deadlines under D ms skip straight to the degraded scheduler
-//!   --no-degrade           disable the degraded (within-cluster-only) fallback
-//!   --qos-quotas P,S,B     per-class admission quotas, priority,standard,batch
-//!                          (0 inherits --queue-depth; default: 0,0,0)
-//!   --shed-after-ms D      shed stale lower-class queue heads once dequeue
-//!                          delay exceeds D ms (0 = off; default: 250)
-//!   --idle-timeout-ms D    reap connections with no complete frame for D ms
-//!                          (0 = off; default: 60000)
-//!   --write-stall-ms D     reap connections accepting no bytes for D ms while
-//!                          output is pending (0 = off; default: 10000)
-//!   --conn-buffer-kb N     per-connection buffered-output cap in KiB; past it
-//!                          the peer gets `overloaded` and is disconnected
-//!                          (0 = off; default: 1024)
-//!   --store-dir DIR        journal committed outcomes to a durable store in
-//!                          DIR (WAL + snapshot) and warm-start the cache from
-//!                          it on boot (default: no persistence)
-//!   --fsync P              store sync policy: always | interval[:ms] | never
-//!                          (default: always; requires --store-dir)
-//!
-//! client options:
-//!   --addr A:P             server address (default: 127.0.0.1:7171)
-//!   --connections N        concurrent connections (default: 4)
-//!   --requests M           total requests across both phases (default: 200)
-//!   --distinct-keys K      distinct request keys; cold phase touches each once (default: 24)
-//!   --pipeline W           in-flight requests per connection (default: 32; 1 = lockstep)
-//!   --seed S               warm-phase sampling seed (default: 1)
-//!   --scheduler basic|ds|cds|search[:beam[:cap]]   (default: server default)
-//!   --deadline-ms D        per-request deadline (default: none)
-//!   --retries N            re-queues per failed request (default: 3)
-//!   --class C              admission class: priority|standard|batch (default: standard)
-//!
-//! load options (all client options, plus):
-//!   --procs P              driver processes (default: 2); reports are merged
-//!                          exactly — percentiles over the combined latency
-//!                          histogram, outcome digests cross-checked per key
-//!
-//! chaos options:
-//!   --seed S               first fault seed (default: 7)
-//!   --seeds N              soak N consecutive seeds S, S+1, … (default: 1)
-//!   --requests M           requests per seed (default: 200)
-//!   --workers N            server worker threads per seed (default: 2)
-//!
-//! crashdrill options:
-//!   --seed S               deterministic drill seed (default: 7)
-//!   --keys K               outcomes committed (acked + fsynced) before the
-//!                          kill -9 (default: 12)
-//!   --requests M           background requests racing the kill (default: 64)
-//!   --dir D                store directory (default: a fresh temp directory,
-//!                          removed when the drill passes)
-//!   --out F.json           also write the evidence report to F.json
-//!
-//! overload options:
-//!   --addr A:P             attack an already-running server (default: self-host
-//!                          a small-quota, short-timeout server for the drill)
-//!   --requests M           requests per well-behaved traffic class (default: 400)
-//!   --priority-deadline-ms D   per-request deadline for the priority class;
-//!                          the report records whether its p99 met it (default: 2000)
-//!   --abuse-clients N      clients per abusive population (default: 4)
-//!   --abuse-duration-ms D  abusive-population runtime (default: 1500)
-//!   --abuse-modes a,b      comma-separated populations to run, from
-//!                          slow_writer|stalled_reader|idle_holder|frame_flood
-//!                          (default: frame_flood,stalled_reader)
-//!   --out F.json           also write the report to F.json
-//!
-//! hotpath options:
-//!   --out F.json           also write the report to F.json
-//!   --check BASELINE.json  fail if any speedup regresses >10% below the baseline's
-//!   --repeats N            timing repeats per probe; minima are reported (default: 5)
-//!
-//! search-bench options:
-//!   --beam N               beam width of the searched variant (default: 32)
-//!   --max-expansions N     expansion cap per rung, 0 = unlimited (default: 100000)
-//!   --fb-kw-list 1,2,3,8   FB sizes for the Table-1 family
-//!   --seeds N              synthetic workloads per FB size (default: 12)
-//!   --out F.json           also write the report to F.json
-//!
-//! `mcds sweep` without application files sweeps the paper's Table-1
-//! workloads.
-//! ```
+//! `mcds --help` lists the commands and `mcds <command> --help` a
+//! command's options; both are generated from the flag tables in
+//! [`mcds_bench::cli`], which also parse and check every argv.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use mcds_bench::cli::{self, Args, Parsed};
 use mcds_bench::table1_sweep;
 use mcds_core::{
     FaultConfig, FaultPlan, JsonLinesSink, McdsError, MetricsRegistry, Pipeline, SchedulerKind,
@@ -144,11 +24,19 @@ use mcds_serve::{
     Server, StatEntry, StoreConfig, JOURNAL_FILE,
 };
 use mcds_sim::{bottleneck, render_gantt, Simulator};
-use mcds_sweep::{SweepReport, SweepSpec, SweepWorkload};
+use mcds_sweep::{SweepSpec, SweepWorkload};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = match cli::parse(&argv) {
+        Ok(Parsed::Help(text)) => {
+            print!("{text}");
+            Ok(())
+        }
+        Ok(Parsed::Run(args)) => run(&args),
+        Err(e) => Err(e),
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -157,31 +45,22 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), McdsError> {
-    let Some(cmd) = args.first() else {
-        return Err(McdsError::spec(
-            "usage: mcds <sample-app|inspect|plan|run|explore|sweep|serve|client|load|chaos|crashdrill|overload|hotpath|search-bench> …",
-        ));
-    };
-    match cmd.as_str() {
+fn run(args: &Args) -> Result<(), McdsError> {
+    match args.command {
         "sample-app" => sample_app(),
-        "inspect" => inspect(
-            args.get(1)
-                .ok_or_else(|| McdsError::spec("inspect needs an app.json path"))?,
-        ),
-        "plan" => plan(&args[1..]),
-        "run" => traced_run(&args[1..]),
-        "explore" => explore(&args[1..]),
-        "sweep" => sweep(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "client" => client(&args[1..]),
-        "load" => load(&args[1..]),
-        "chaos" => chaos(&args[1..]),
-        "crashdrill" => crashdrill(&args[1..]),
-        "overload" => overload(&args[1..]),
-        "hotpath" => hotpath(&args[1..]),
-        "search-bench" => search_bench(&args[1..]),
-        other => Err(McdsError::spec(format!("unknown command `{other}`"))),
+        "inspect" => inspect(&args.operands[0]),
+        "plan" | "run" => plan(args),
+        "explore" => explore(args),
+        "sweep" => sweep(args),
+        "serve" => serve(args),
+        "client" => client(args),
+        "load" => load(args),
+        "chaos" => chaos(args),
+        "crashdrill" => crashdrill(args),
+        "overload" => overload(args),
+        "hotpath" => hotpath(args),
+        "search-bench" => search_bench(args),
+        other => unreachable!("`mcds {other}` has a flag table but no handler"),
     }
 }
 
@@ -193,34 +72,16 @@ fn load_app(path: &str) -> Result<Application, McdsError> {
     Ok(app)
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn arch_from(args: &[String]) -> Result<ArchParams, McdsError> {
-    let kw: u64 = opt(args, "--fb-kw")
-        .map(|v| {
-            v.parse()
-                .map_err(|e| McdsError::spec(format!("--fb-kw: {e}")))
-        })
-        .transpose()?
-        .unwrap_or(1);
+fn arch_from(args: &Args) -> Result<ArchParams, McdsError> {
     Ok(ArchParams::m1()
         .to_builder()
-        .fb_set_words(Words::kilo(kw))
-        .fb_cross_set_access(flag(args, "--cross-set"))
+        .fb_set_words(Words::kilo(args.value("--fb-kw")?))
+        .fb_cross_set_access(args.has("--cross-set"))
         .build())
 }
 
-fn schedule_from(args: &[String], app: &Application) -> Result<ClusterSchedule, McdsError> {
-    match opt(args, "--clusters") {
+fn schedule_from(args: &Args, app: &Application) -> Result<ClusterSchedule, McdsError> {
+    match args.get("--clusters") {
         None => Ok(ClusterSchedule::singletons(app)?),
         Some(spec) => {
             let mut partition = Vec::new();
@@ -240,8 +101,14 @@ fn schedule_from(args: &[String], app: &Application) -> Result<ClusterSchedule, 
     }
 }
 
-fn scheduler_from(args: &[String]) -> Result<SchedulerKind, McdsError> {
-    opt(args, "--scheduler").unwrap_or("cds").parse()
+/// Prints `report` as pretty JSON and, given `out`, also writes it there.
+fn emit_report(report: &impl serde::Serialize, out: Option<&str>) -> Result<(), McdsError> {
+    let json = serde_json::to_string_pretty(report).map_err(|e| McdsError::spec(e.to_string()))?;
+    println!("{json}");
+    if let Some(path) = out {
+        std::fs::write(path, format!("{json}\n"))?;
+    }
+    Ok(())
 }
 
 fn sample_app() -> Result<(), McdsError> {
@@ -253,11 +120,7 @@ fn sample_app() -> Result<(), McdsError> {
     b.kernel("stage0", 96, Cycles::new(240), &[input, table], &[mid]);
     b.kernel("stage1", 128, Cycles::new(200), &[mid, table], &[out]);
     let app = b.iterations(32).build()?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&app).map_err(|e| McdsError::spec(e.to_string()))?
-    );
-    Ok(())
+    emit_report(&app, None)
 }
 
 fn inspect(path: &str) -> Result<(), McdsError> {
@@ -372,43 +235,25 @@ fn print_run(
     Ok(())
 }
 
-fn plan(args: &[String]) -> Result<(), McdsError> {
-    let path = args
-        .first()
-        .ok_or_else(|| McdsError::spec("plan needs an app.json path"))?;
-    let app = load_app(path)?;
-    let sched = schedule_from(args, &app)?;
-    let pipeline = Pipeline::new(app)
-        .arch(arch_from(args)?)
-        .schedule(sched)
-        .scheduler(scheduler_from(args)?);
-    let run = pipeline.run()?;
-    print_run(
-        &pipeline,
-        &run,
-        flag(args, "--gantt"),
-        flag(args, "--program"),
-    )
-}
-
-fn traced_run(args: &[String]) -> Result<(), McdsError> {
-    let path = args
-        .first()
-        .ok_or_else(|| McdsError::spec("run needs an app.json path"))?;
-    let app = load_app(path)?;
+/// `plan` and `run`: the same pipeline; only `run`'s table declares
+/// the tracing flags, which read as unset for `plan`.
+fn plan(args: &Args) -> Result<(), McdsError> {
+    let app = load_app(&args.operands[0])?;
     let sched = schedule_from(args, &app)?;
     let mut pipeline = Pipeline::new(app)
         .arch(arch_from(args)?)
         .schedule(sched)
-        .scheduler(scheduler_from(args)?);
-    if let Some(out) = opt(args, "--trace-out") {
+        .scheduler(args.str("--scheduler").parse()?);
+    if let Some(out) = args.get("--trace-out") {
         pipeline = pipeline.trace(JsonLinesSink::create(out)?);
     }
-    let metrics = flag(args, "--metrics").then(|| Arc::new(MetricsRegistry::new()));
+    let metrics = args
+        .has("--metrics")
+        .then(|| Arc::new(MetricsRegistry::new()));
     if let Some(m) = &metrics {
         pipeline = pipeline.metrics(Arc::clone(m));
     }
-    let run = if flag(args, "--explain") {
+    let run = if args.has("--explain") {
         let (run, log) = pipeline.explain()?;
         print!("{log}");
         println!();
@@ -416,12 +261,7 @@ fn traced_run(args: &[String]) -> Result<(), McdsError> {
     } else {
         pipeline.run()?
     };
-    print_run(
-        &pipeline,
-        &run,
-        flag(args, "--gantt"),
-        flag(args, "--program"),
-    )?;
+    print_run(&pipeline, &run, args.has("--gantt"), args.has("--program"))?;
     if let Some(m) = metrics {
         println!("\nmetrics:");
         for (name, value) in m.snapshot() {
@@ -431,11 +271,8 @@ fn traced_run(args: &[String]) -> Result<(), McdsError> {
     Ok(())
 }
 
-fn explore(args: &[String]) -> Result<(), McdsError> {
-    let path = args
-        .first()
-        .ok_or_else(|| McdsError::spec("explore needs an app.json path"))?;
-    let pipeline = Pipeline::new(load_app(path)?)
+fn explore(args: &Args) -> Result<(), McdsError> {
+    let pipeline = Pipeline::new(load_app(&args.operands[0])?)
         .arch(arch_from(args)?)
         .clustering(KernelScheduler::new(SearchStrategy::Exhaustive))
         .scheduler(SchedulerKind::Cds);
@@ -449,32 +286,19 @@ fn explore(args: &[String]) -> Result<(), McdsError> {
     print_run(&pipeline, &run, false, false)
 }
 
-fn sweep(args: &[String]) -> Result<(), McdsError> {
-    let format = opt(args, "--format").unwrap_or("table");
+fn sweep(args: &Args) -> Result<(), McdsError> {
+    let format = args.str("--format");
     if !matches!(format, "table" | "json" | "csv") {
         return Err(McdsError::spec(format!(
             "unknown format `{format}` (expected table, json, or csv)"
         )));
     }
-    let fb_kw: Vec<u64> = opt(args, "--fb-kw-list")
-        .unwrap_or("1,2,3,8")
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| McdsError::spec(format!("--fb-kw-list `{v}`: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let threads = opt(args, "--threads")
-        .map(|v| {
-            v.parse()
-                .map_err(|e| McdsError::spec(format!("--threads: {e}")))
-        })
-        .transpose()?;
-    let app_paths: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
+    let fb_kw: Vec<u64> = args.list("--fb-kw-list")?;
+    let threads = args.parse("--threads")?;
+    let cross_set = args.has("--cross-set");
 
-    let spec = if app_paths.is_empty() {
-        table1_sweep(&fb_kw, flag(args, "--cross-set"))
+    let spec = if args.operands.is_empty() {
+        table1_sweep(&fb_kw, cross_set)
     } else {
         let mut spec = SweepSpec::new();
         for &kw in &fb_kw {
@@ -482,11 +306,11 @@ fn sweep(args: &[String]) -> Result<(), McdsError> {
                 ArchParams::m1()
                     .to_builder()
                     .fb_set_words(Words::kilo(kw))
-                    .fb_cross_set_access(flag(args, "--cross-set"))
+                    .fb_cross_set_access(cross_set)
                     .build(),
             );
         }
-        for path in app_paths {
+        for path in &args.operands {
             let app = load_app(path)?;
             let sched = schedule_from(args, &app)?;
             spec = spec
@@ -495,7 +319,7 @@ fn sweep(args: &[String]) -> Result<(), McdsError> {
         spec
     };
 
-    let spec = match opt(args, "--schedulers") {
+    let spec = match args.get("--schedulers") {
         Some(list) => spec.schedulers(
             list.split(',')
                 .map(|v| v.trim().parse::<SchedulerKind>())
@@ -511,73 +335,51 @@ fn sweep(args: &[String]) -> Result<(), McdsError> {
         threads.map_or_else(|| "auto".to_owned(), |t: usize| t.to_string())
     );
     let report = spec.run()?;
-    print_sweep(&report, format)
+    // `format` was checked before the sweep ran.
+    match format {
+        "table" => print!("{}", report.table()),
+        "json" => println!("{}", report.to_json()?),
+        _ => print!("{}", report.to_csv()),
+    }
+    Ok(())
 }
 
-fn parsed_opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, McdsError>
-where
-    T::Err: std::fmt::Display,
-{
-    opt(args, name)
-        .map(|v| {
-            v.parse()
-                .map_err(|e| McdsError::spec(format!("{name}: {e}")))
-        })
-        .transpose()
-}
-
-fn serve(args: &[String]) -> Result<(), McdsError> {
-    let mut config = ServeConfig {
-        addr: opt(args, "--addr").unwrap_or("127.0.0.1:7171").to_owned(),
-        ..ServeConfig::default()
-    };
-    if let Some(workers) = parsed_opt(args, "--workers")? {
-        config.workers = workers;
-    }
-    if let Some(depth) = parsed_opt(args, "--queue-depth")? {
-        config.queue_depth = depth;
-    }
-    if let Some(kb) = parsed_opt::<usize>(args, "--max-frame-kb")? {
+fn serve(args: &Args) -> Result<(), McdsError> {
+    let mut config = ServeConfig::default();
+    args.set("--addr", &mut config.addr)?;
+    args.set("--workers", &mut config.workers)?;
+    args.set("--queue-depth", &mut config.queue_depth)?;
+    if let Some(kb) = args.parse::<usize>("--max-frame-kb")? {
         config.max_frame_bytes = kb.saturating_mul(1024);
     }
-    if let Some(seed) = parsed_opt(args, "--fault-seed")? {
+    if let Some(seed) = args.parse("--fault-seed")? {
         config.faults = Some(Arc::new(FaultPlan::new(FaultConfig::chaos(seed))));
     }
-    if let Some(below) = parsed_opt(args, "--degrade-below-ms")? {
-        config.degrade_below_ms = below;
-    }
-    if flag(args, "--no-degrade") {
+    args.set("--degrade-below-ms", &mut config.degrade_below_ms)?;
+    if args.has("--no-degrade") {
         config.degrade = false;
     }
-    if let Some(shards) = parsed_opt(args, "--shards")? {
-        config.shards = shards;
+    args.set("--shards", &mut config.shards)?;
+    let quotas: Vec<usize> = args.list("--qos-quotas")?;
+    if !quotas.is_empty() {
+        config.qos_quotas = <[usize; 3]>::try_from(quotas).map_err(|_| {
+            McdsError::spec("--qos-quotas needs exactly three values: priority,standard,batch")
+        })?;
     }
-    if let Some(quotas) = opt(args, "--qos-quotas") {
-        config.qos_quotas = parse_quotas(quotas)?;
-    }
-    if let Some(after) = parsed_opt(args, "--shed-after-ms")? {
-        config.shed_after_ms = after;
-    }
-    if let Some(idle) = parsed_opt(args, "--idle-timeout-ms")? {
-        config.idle_timeout_ms = idle;
-    }
-    if let Some(stall) = parsed_opt(args, "--write-stall-ms")? {
-        config.write_stall_ms = stall;
-    }
-    if let Some(kb) = parsed_opt::<usize>(args, "--conn-buffer-kb")? {
+    args.set("--shed-after-ms", &mut config.shed_after_ms)?;
+    args.set("--idle-timeout-ms", &mut config.idle_timeout_ms)?;
+    args.set("--write-stall-ms", &mut config.write_stall_ms)?;
+    if let Some(kb) = args.parse::<usize>("--conn-buffer-kb")? {
         config.max_conn_buffer_bytes = kb.saturating_mul(1024);
     }
-    match opt(args, "--store-dir") {
+    let fsync = args.parse::<FsyncPolicy>("--fsync")?;
+    match args.get("--store-dir") {
         Some(dir) => {
             let mut store = StoreConfig::new(dir);
-            if let Some(policy) = parsed_opt::<FsyncPolicy>(args, "--fsync")? {
-                store.fsync = policy;
-            }
+            store.fsync = fsync.unwrap_or(store.fsync);
             config.store = Some(store);
         }
-        None if opt(args, "--fsync").is_some() => {
-            return Err(McdsError::spec("--fsync requires --store-dir"));
-        }
+        None if fsync.is_some() => return Err(McdsError::spec("--fsync requires --store-dir")),
         None => {}
     }
     let server = Server::bind(config)?;
@@ -590,23 +392,19 @@ fn serve(args: &[String]) -> Result<(), McdsError> {
     Ok(())
 }
 
-/// Parses a `--qos-quotas P,S,B` triple (0 = inherit the queue depth).
-fn parse_quotas(spec: &str) -> Result<[usize; 3], McdsError> {
-    let parts: Vec<usize> = spec
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| McdsError::spec(format!("--qos-quotas `{v}`: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    <[usize; 3]>::try_from(parts).map_err(|_| {
-        McdsError::spec("--qos-quotas needs exactly three values: priority,standard,batch")
-    })
-}
-
-fn class_from(args: &[String]) -> Result<Option<QosClass>, McdsError> {
-    opt(args, "--class")
+fn load_config_from(args: &Args) -> Result<LoadConfig, McdsError> {
+    let mut config = LoadConfig::default();
+    args.set("--addr", &mut config.addr)?;
+    args.set("--connections", &mut config.connections)?;
+    args.set("--requests", &mut config.requests)?;
+    args.set("--distinct-keys", &mut config.distinct_keys)?;
+    args.set("--pipeline", &mut config.pipeline)?;
+    args.set("--seed", &mut config.seed)?;
+    config.scheduler = args.get("--scheduler").map(str::to_owned);
+    config.deadline_ms = args.parse("--deadline-ms")?;
+    args.set("--retries", &mut config.retries)?;
+    config.class = args
+        .get("--class")
         .map(|v| {
             QosClass::from_wire(v).ok_or_else(|| {
                 McdsError::spec(format!(
@@ -614,35 +412,7 @@ fn class_from(args: &[String]) -> Result<Option<QosClass>, McdsError> {
                 ))
             })
         })
-        .transpose()
-}
-
-fn load_config_from(args: &[String]) -> Result<LoadConfig, McdsError> {
-    let mut config = LoadConfig {
-        addr: opt(args, "--addr").unwrap_or("127.0.0.1:7171").to_owned(),
-        scheduler: opt(args, "--scheduler").map(str::to_owned),
-        deadline_ms: parsed_opt(args, "--deadline-ms")?,
-        class: class_from(args)?,
-        ..LoadConfig::default()
-    };
-    if let Some(connections) = parsed_opt(args, "--connections")? {
-        config.connections = connections;
-    }
-    if let Some(requests) = parsed_opt(args, "--requests")? {
-        config.requests = requests;
-    }
-    if let Some(distinct) = parsed_opt(args, "--distinct-keys")? {
-        config.distinct_keys = distinct;
-    }
-    if let Some(pipeline) = parsed_opt(args, "--pipeline")? {
-        config.pipeline = pipeline;
-    }
-    if let Some(seed) = parsed_opt(args, "--seed")? {
-        config.seed = seed;
-    }
-    if let Some(retries) = parsed_opt(args, "--retries")? {
-        config.retries = retries;
-    }
+        .transpose()?;
     Ok(config)
 }
 
@@ -677,7 +447,7 @@ fn store_stats(addr: &str) -> Vec<StatEntry> {
     }
 }
 
-fn client(args: &[String]) -> Result<(), McdsError> {
+fn client(args: &Args) -> Result<(), McdsError> {
     let config = load_config_from(args)?;
     let mut report = run_load(&config)?;
     report.strip_raw();
@@ -685,11 +455,7 @@ fn client(args: &[String]) -> Result<(), McdsError> {
         store: store_stats(&config.addr),
         load: report,
     };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&report).map_err(|e| McdsError::spec(e.to_string()))?
-    );
-    Ok(())
+    emit_report(&report, None)
 }
 
 /// The scaled load harness. With `--procs P > 1` the parent re-executes
@@ -698,11 +464,13 @@ fn client(args: &[String]) -> Result<(), McdsError> {
 /// per-key outcome digests included) and merges the reports exactly:
 /// counters add, percentiles are recomputed over the combined latency
 /// histogram, and any key served two different outcomes — even across
-/// processes — flips `consistent_outcomes`.
-fn load(args: &[String]) -> Result<(), McdsError> {
+/// processes — flips `consistent_outcomes`. A child's argv is the
+/// parent's own flags with only its `--requests` share and `--seed`
+/// replaced.
+fn load(args: &Args) -> Result<(), McdsError> {
     let config = load_config_from(args)?;
-    let procs: usize = parsed_opt(args, "--procs")?.unwrap_or(2).max(1);
-    if flag(args, "--child") {
+    let procs: usize = args.value::<usize>("--procs")?.max(1);
+    if args.has("--child") {
         // Raw single-process report on one line for the parent to merge.
         let report = run_load(&config)?;
         println!(
@@ -718,26 +486,16 @@ fn load(args: &[String]) -> Result<(), McdsError> {
         let mut children = Vec::new();
         for p in 0..procs {
             let requests = config.requests / procs + usize::from(p < config.requests % procs);
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(["load", "--child"])
-                .args(["--addr", &config.addr])
-                .args(["--connections", &config.connections.to_string()])
-                .args(["--requests", &requests.max(1).to_string()])
-                .args(["--distinct-keys", &config.distinct_keys.to_string()])
-                .args(["--pipeline", &config.pipeline.to_string()])
-                .args(["--seed", &(config.seed + p as u64 * 10_007).to_string()])
-                .args(["--retries", &config.retries.to_string()])
-                .stdout(std::process::Stdio::piped());
-            if let Some(s) = &config.scheduler {
-                cmd.args(["--scheduler", s]);
-            }
-            if let Some(d) = config.deadline_ms {
-                cmd.args(["--deadline-ms", &d.to_string()]);
-            }
-            if let Some(c) = config.class {
-                cmd.args(["--class", c.as_str()]);
-            }
-            children.push(cmd.spawn()?);
+            let seed = config.seed + p as u64 * 10_007;
+            let child = std::process::Command::new(&exe)
+                .args(args.argv_with(&[
+                    ("--requests", requests.max(1).to_string()),
+                    ("--seed", seed.to_string()),
+                ]))
+                .arg("--child")
+                .stdout(std::process::Stdio::piped())
+                .spawn()?;
+            children.push(child);
         }
         let mut merged: Option<LoadReport> = None;
         for child in children {
@@ -756,11 +514,7 @@ fn load(args: &[String]) -> Result<(), McdsError> {
         merged.ok_or_else(|| McdsError::spec("no driver processes ran"))?
     };
     merged.strip_raw();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&merged).map_err(|e| McdsError::spec(e.to_string()))?
-    );
-    Ok(())
+    emit_report(&merged, None)
 }
 
 /// One seed's deterministic chaos-soak verdict. Every field is a pure
@@ -863,11 +617,11 @@ fn reference_outcome(
 /// client, audit the cache against locally recomputed ground truth,
 /// and print one line of reproducible JSON. Exits non-zero on any
 /// hang, inconsistency, or cache poisoning.
-fn chaos(args: &[String]) -> Result<(), McdsError> {
-    let first_seed: u64 = parsed_opt(args, "--seed")?.unwrap_or(7);
-    let seeds: u64 = parsed_opt(args, "--seeds")?.unwrap_or(1).max(1);
-    let requests: usize = parsed_opt(args, "--requests")?.unwrap_or(200);
-    let workers: usize = parsed_opt(args, "--workers")?.unwrap_or(2);
+fn chaos(args: &Args) -> Result<(), McdsError> {
+    let first_seed: u64 = args.value("--seed")?;
+    let seeds: u64 = args.value::<u64>("--seeds")?.max(1);
+    let requests: usize = args.value("--requests")?;
+    let workers: usize = args.value("--workers")?;
     let mut failed = false;
     for seed in first_seed..first_seed.saturating_add(seeds) {
         let started = std::time::Instant::now();
@@ -1098,11 +852,11 @@ fn reap_serve_child(mut server: ServeChild) -> Result<ServeSummary, McdsError> {
 /// restart on the same directory and prove every committed outcome is
 /// served back byte-identical from the warm-started cache — zero
 /// pipeline re-runs. Exits non-zero unless all evidence holds.
-fn crashdrill(args: &[String]) -> Result<(), McdsError> {
-    let seed: u64 = parsed_opt(args, "--seed")?.unwrap_or(7);
-    let keys: usize = parsed_opt(args, "--keys")?.unwrap_or(12).max(1);
-    let requests: usize = parsed_opt(args, "--requests")?.unwrap_or(64);
-    let (dir, ephemeral) = match opt(args, "--dir") {
+fn crashdrill(args: &Args) -> Result<(), McdsError> {
+    let seed: u64 = args.value("--seed")?;
+    let keys: usize = args.value::<usize>("--keys")?.max(1);
+    let requests: usize = args.value("--requests")?;
+    let (dir, ephemeral) = match args.get("--dir") {
         Some(d) => (std::path::PathBuf::from(d), false),
         None => (
             std::env::temp_dir().join(format!("mcds-crashdrill-{}-{seed}", std::process::id())),
@@ -1248,11 +1002,7 @@ fn crashdrill(args: &[String]) -> Result<(), McdsError> {
         tail_garbage_tolerated,
         clean_restart_verified,
     };
-    let json = serde_json::to_string_pretty(&report).map_err(|e| McdsError::spec(e.to_string()))?;
-    println!("{json}");
-    if let Some(path) = opt(args, "--out") {
-        std::fs::write(path, format!("{json}\n"))?;
-    }
+    emit_report(&report, args.get("--out"))?;
     eprintln!(
         "crashdrill seed {seed}: {}/{} recovered, {:.1}s",
         report.recovered_served,
@@ -1312,13 +1062,13 @@ struct OverloadReport {
 /// QoS lanes and slow-peer defenses held: priority p99 under its
 /// deadline with zero priority sheds, batch absorbing the rejections,
 /// and per-connection memory bounded by the buffer cap.
-fn overload(args: &[String]) -> Result<(), McdsError> {
-    let requests: usize = parsed_opt(args, "--requests")?.unwrap_or(400);
-    let deadline_ms: u64 = parsed_opt(args, "--priority-deadline-ms")?.unwrap_or(2000);
-    let abuse_clients: usize = parsed_opt(args, "--abuse-clients")?.unwrap_or(4);
-    let abuse_duration_ms: u64 = parsed_opt(args, "--abuse-duration-ms")?.unwrap_or(1500);
-    let modes: Vec<AbuseMode> = opt(args, "--abuse-modes")
-        .unwrap_or("frame_flood,stalled_reader")
+fn overload(args: &Args) -> Result<(), McdsError> {
+    let requests: usize = args.value("--requests")?;
+    let deadline_ms: u64 = args.value("--priority-deadline-ms")?;
+    let abuse_clients: usize = args.value("--abuse-clients")?;
+    let abuse_duration_ms: u64 = args.value("--abuse-duration-ms")?;
+    let modes: Vec<AbuseMode> = args
+        .str("--abuse-modes")
         .split(',')
         .map(|m| {
             AbuseMode::from_name(m.trim())
@@ -1329,7 +1079,7 @@ fn overload(args: &[String]) -> Result<(), McdsError> {
     // Tight batch quota so admission rejections actually happen, short
     // peer timeouts and a small buffer cap so the abusive populations
     // trip every defense within the drill's runtime.
-    let (addr, hosted) = match opt(args, "--addr") {
+    let (addr, hosted) = match args.get("--addr") {
         Some(a) => (a.to_owned(), None),
         None => {
             let server = Server::bind(ServeConfig {
@@ -1470,12 +1220,7 @@ fn overload(args: &[String]) -> Result<(), McdsError> {
         server_stats,
         summary,
     };
-    let json = serde_json::to_string_pretty(&report).map_err(|e| McdsError::spec(e.to_string()))?;
-    println!("{json}");
-    if let Some(path) = opt(args, "--out") {
-        std::fs::write(path, format!("{json}\n"))?;
-    }
-    Ok(())
+    emit_report(&report, args.get("--out"))
 }
 
 /// One hot-path evidence report: the indexed free list against the
@@ -1687,8 +1432,8 @@ fn check_hotpath(current: &HotpathReport, baseline: &HotpathReport) -> Result<()
     }
 }
 
-fn hotpath(args: &[String]) -> Result<(), McdsError> {
-    let repeats: u32 = parsed_opt(args, "--repeats")?.unwrap_or(5);
+fn hotpath(args: &Args) -> Result<(), McdsError> {
+    let repeats: u32 = args.value("--repeats")?;
     let report = HotpathReport {
         // Sizes where the scan asymptotics dominate the bucket-index
         // constant factor; at a few hundred holes the two lists trade
@@ -1705,12 +1450,8 @@ fn hotpath(args: &[String]) -> Result<(), McdsError> {
             .map(|name| analysis_probe(repeats, name, 2, 8))
             .collect(),
     };
-    let json = serde_json::to_string_pretty(&report).map_err(|e| McdsError::spec(e.to_string()))?;
-    println!("{json}");
-    if let Some(path) = opt(args, "--out") {
-        std::fs::write(path, format!("{json}\n"))?;
-    }
-    if let Some(path) = opt(args, "--check") {
+    emit_report(&report, args.get("--out"))?;
+    if let Some(path) = args.get("--check") {
         let text = std::fs::read_to_string(path)?;
         let baseline: HotpathReport = serde_json::from_str(&text)
             .map_err(|e| McdsError::spec(format!("parsing {path}: {e}")))?;
@@ -1833,22 +1574,14 @@ fn search_point(
     })
 }
 
-fn search_bench(args: &[String]) -> Result<(), McdsError> {
+fn search_bench(args: &Args) -> Result<(), McdsError> {
     use mcds_workloads::synthetic::{knapsack_trap, SyntheticConfig, SyntheticGenerator};
     use mcds_workloads::table1::table1_experiments;
 
-    let beam: u32 = parsed_opt(args, "--beam")?.unwrap_or(32);
-    let cap: u32 = parsed_opt(args, "--max-expansions")?.unwrap_or(100_000);
-    let seeds: u64 = parsed_opt(args, "--seeds")?.unwrap_or(12);
-    let fb_kw: Vec<u64> = opt(args, "--fb-kw-list")
-        .unwrap_or("1,2,3,8")
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| McdsError::spec(format!("--fb-kw-list `{v}`: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
+    let beam: u32 = args.value("--beam")?;
+    let cap: u32 = args.value("--max-expansions")?;
+    let seeds: u64 = args.value("--seeds")?;
+    let fb_kw: Vec<u64> = args.list("--fb-kw-list")?;
 
     let mut infeasible = 0usize;
     let mut measure = |family: &mut Vec<SearchPoint>,
@@ -1944,24 +1677,5 @@ fn search_bench(args: &[String]) -> Result<(), McdsError> {
         synthetic,
         adversarial,
     };
-    let json = serde_json::to_string_pretty(&report).map_err(|e| McdsError::spec(e.to_string()))?;
-    println!("{json}");
-    if let Some(path) = opt(args, "--out") {
-        std::fs::write(path, format!("{json}\n"))?;
-    }
-    Ok(())
-}
-
-fn print_sweep(report: &SweepReport, format: &str) -> Result<(), McdsError> {
-    match format {
-        "table" => print!("{}", report.table()),
-        "json" => println!("{}", report.to_json()?),
-        "csv" => print!("{}", report.to_csv()),
-        other => {
-            return Err(McdsError::spec(format!(
-                "unknown format `{other}` (expected table, json, or csv)"
-            )))
-        }
-    }
-    Ok(())
+    emit_report(&report, args.get("--out"))
 }

@@ -4,6 +4,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+
 use mcds_core::{Comparison, ExperimentRow};
 use mcds_model::{Application, ArchParams, ClusterSchedule, Words};
 use mcds_sweep::{SweepSpec, SweepWorkload};
